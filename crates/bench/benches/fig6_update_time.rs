@@ -11,7 +11,7 @@ use rsj_common::stats::{LogHistogram, Summary};
 use rsj_datagen::GraphConfig;
 use rsj_index::{DynamicIndex, IndexOptions};
 use rsj_queries::line_k;
-use rsj_storage::ColumnarBatch;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
@@ -54,63 +54,37 @@ fn main() {
         false,
     );
 
-    // Columnar ingest A/B: whole-index rebuild per arm, arms alternated
-    // within each round so thermal/cache drift hits both sides equally.
-    // `RSJoin_row` repeats the per-tuple loop above without the per-tuple
-    // timer; `RSJoin_col` ships the same stream as 32768-arrival columnar
-    // batches through `insert_columnar` (batch construction is timed too —
-    // it is part of the ingest). Medians across the rounds go to the JSON.
-    const AB_ROUNDS: usize = 3;
-    const COL_BATCH: usize = 32768;
+    // Whole-stream ingest without the per-tuple timer: `RSJoin_row`
+    // repeats the per-tuple loop above as a full index rebuild, and the
+    // median of a few rounds goes to the JSON.
+    const ROW_ROUNDS: usize = 3;
     let mut row_runs: Vec<u128> = Vec::new();
-    let mut col_runs: Vec<u128> = Vec::new();
-    let mut row_inserts = 0u64;
-    let mut col_inserts = 0u64;
-    for _ in 0..AB_ROUNDS {
+    for _ in 0..ROW_ROUNDS {
         let t0 = Instant::now();
         let mut idx = DynamicIndex::new(w.query.clone(), IndexOptions::default()).unwrap();
         for t in w.stream.iter() {
             idx.insert(t.relation, &t.values);
         }
-        row_inserts = idx.stats().inserts;
+        black_box(idx.stats().inserts);
         row_runs.push(t0.elapsed().as_nanos());
-
-        let t0 = Instant::now();
-        let mut idx = DynamicIndex::new(w.query.clone(), IndexOptions::default()).unwrap();
-        for chunk in w.stream.tuples().chunks(COL_BATCH) {
-            idx.insert_columnar(&ColumnarBatch::from_rows(chunk));
-        }
-        col_inserts = idx.stats().inserts;
-        col_runs.push(t0.elapsed().as_nanos());
     }
-    assert_eq!(
-        row_inserts, col_inserts,
-        "columnar arm drifted from row arm"
-    );
     row_runs.sort_unstable();
-    col_runs.sort_unstable();
-    let row_med = row_runs[AB_ROUNDS / 2];
-    let col_med = col_runs[AB_ROUNDS / 2];
+    let row_med = row_runs[ROW_ROUNDS / 2];
     let n = w.stream.len();
-    for (engine, med) in [("RSJoin_row", row_med), ("RSJoin_col", col_med)] {
-        record_json(
-            &fig_name(),
-            &w.name,
-            engine,
-            n,
-            med,
-            Some(n as f64 * 1e9 / med.max(1) as f64),
-            None,
-            None,
-            false,
-        );
-    }
+    record_json(
+        &fig_name(),
+        &w.name,
+        "RSJoin_row",
+        n,
+        row_med,
+        Some(n as f64 * 1e9 / row_med.max(1) as f64),
+        None,
+        None,
+        false,
+    );
     println!(
-        "\ncolumnar A/B ({AB_ROUNDS} interleaved rounds, batch {COL_BATCH}): \
-         row {:.0} ns/insert, columnar {:.0} ns/insert, speedup {:.2}x",
-        row_med as f64 / n as f64,
-        col_med as f64 / n as f64,
-        row_med as f64 / col_med.max(1) as f64
+        "\nrow ingest ({ROW_ROUNDS} rounds, median): {:.0} ns/insert",
+        row_med as f64 / n as f64
     );
 
     let mut sj_summary = Summary::new();

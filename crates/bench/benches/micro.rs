@@ -8,21 +8,20 @@
 //! iteration.
 
 use rsj_bench::{fig_name, record_json};
-use rsj_common::hash::{fx_hash_columns, fx_hash_columns_scalar};
 use rsj_common::rng::RsjRng;
-use rsj_common::{fx_hash_one, Key, KeyMap};
 use rsj_datagen::GraphConfig;
 use rsj_index::{DynamicIndex, FullSampler, IndexOptions};
 use rsj_queries::line_k;
-use rsj_storage::ColumnarBatch;
 use rsj_stream::{Reservoir, SliceBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Counts heap allocations so the steady-state columnar bench can report
-/// allocs/iter, not just wall time (a relaxed counter around `System`).
+/// Counts heap allocations so every bench reports allocs/iter, not just
+/// wall time (a relaxed counter around `System`). For
+/// `index_insert_8k_edges_line3` the count covers a whole build from an
+/// empty index, so it includes every growth step of the index's storage.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -46,16 +45,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Times `iters` runs of `f` (after one warmup call) and prints the mean.
+/// Times `iters` runs of `f` (after one warmup call) and prints the mean
+/// wall time and heap allocations per iteration.
 fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
     f();
+    let before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     for _ in 0..iters {
         f();
     }
     let total = start.elapsed();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     let per_iter = total / iters;
-    println!("{name:<36} {per_iter:>12.2?}/iter  ({iters} iters)");
+    println!(
+        "{name:<36} {per_iter:>12.2?}/iter  ({iters} iters, {:.1} allocs/iter)",
+        allocs as f64 / iters as f64
+    );
     record_json(
         &fig_name(),
         name,
@@ -141,118 +146,10 @@ fn bench_reservoir_skip() {
     });
 }
 
-/// The vectorized column-hash kernel against its scalar fallback: 8192
-/// binary rows hashed per iteration, both bit-identical to `fx_hash_one`
-/// over the row slice (the unrolled kernel's claim to exist is pure
-/// throughput).
-fn bench_columnar_hash() {
-    let mut rng = RsjRng::seed_from_u64(3);
-    let flat: Vec<u64> = (0..8192 * 2).map(|_| rng.below_u64(1 << 20)).collect();
-    let mut out = Vec::new();
-    bench("columnar_hash_8k_keys", 2_000, || {
-        out.clear();
-        fx_hash_columns(2, 2, &flat, &mut out);
-        black_box(out.last().copied());
-    });
-    bench("columnar_hash_8k_keys_scalar", 2_000, || {
-        out.clear();
-        fx_hash_columns_scalar(2, 2, &flat, &mut out);
-        black_box(out.last().copied());
-    });
-}
-
-/// The hash-grouped probe pipeline the columnar insert runs per node: sort
-/// 8192 probe requests (4-way duplicated keys, shuffled arrival order) by
-/// digest, coalesce equal-key runs, probe the `KeyMap` once per run.
-fn bench_keymap_grouped_probe() {
-    let mut map: KeyMap<u32> = KeyMap::default();
-    let mut rng = RsjRng::seed_from_u64(4);
-    let mut probes: Vec<(u64, Key)> = Vec::with_capacity(8192);
-    for i in 0..2048u64 {
-        let key = Key::from_slice(&[i, i.wrapping_mul(0x9e37_79b9)]);
-        let hash = fx_hash_one(&key);
-        map.get_or_insert_with(hash, key, || i as u32);
-        for _ in 0..4 {
-            probes.push((hash, key));
-        }
-    }
-    for i in (1..probes.len()).rev() {
-        probes.swap(i, rng.index(i + 1));
-    }
-    bench("keymap_grouped_probe_8k", 2_000, || {
-        let mut sorted = probes.clone();
-        sorted.sort_unstable_by_key(|&(h, _)| h);
-        let mut hits = 0usize;
-        let mut i = 0;
-        while i < sorted.len() {
-            let (h, k) = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j] == (h, k) {
-                j += 1;
-            }
-            if map.get(h, &k).is_some() {
-                hits += j - i;
-            }
-            i = j;
-        }
-        black_box(hits);
-    });
-}
-
-/// Steady-state columnar re-ingest: the same 8k-tuple batch pushed into a
-/// warm index again, so every tuple takes the dedup fast path and the
-/// persistent per-index scratch (sort buffers, `out_changes`) is already
-/// grown (ROADMAP item 3). The headline number is **allocs/iter**, counted
-/// by the global allocator wrapper — the persistent-scratch fix makes the
-/// steady state allocation-free, which per-call scratch could never be.
-fn bench_columnar_steady_state() {
-    let edges = GraphConfig {
-        nodes: 1000,
-        edges: 8000,
-        zipf: 1.0,
-        seed: 42,
-    }
-    .generate();
-    let w = line_k(3, &edges, 1);
-    let rows: Vec<_> = w.stream.iter().cloned().collect();
-    let batch = ColumnarBatch::from_rows(&rows);
-    let mut idx = DynamicIndex::new(w.query.clone(), IndexOptions::default()).unwrap();
-    idx.insert_columnar(&batch); // warm: dedup sets filled, scratch grown
-    let iters = 200u32;
-    idx.insert_columnar(&batch); // bench()'s warmup, outside the count
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(idx.insert_columnar(&batch));
-    }
-    let total = start.elapsed();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    let per_iter = total / iters;
-    println!(
-        "{:<36} {per_iter:>12.2?}/iter  ({iters} iters, {:.1} allocs/iter)",
-        "columnar_reingest_steady_state_8k",
-        allocs as f64 / iters as f64
-    );
-    record_json(
-        &fig_name(),
-        "columnar_reingest_steady_state_8k",
-        "-",
-        iters as usize,
-        total.as_nanos(),
-        Some(iters as f64 / total.as_secs_f64().max(f64::MIN_POSITIVE)),
-        Some((allocs, 0)),
-        None,
-        false,
-    );
-}
-
 fn main() {
     println!("micro — primitive-operation costs\n");
     bench_index_insert();
     bench_full_sample();
     bench_delta_retrieve();
     bench_reservoir_skip();
-    bench_columnar_hash();
-    bench_keymap_grouped_probe();
-    bench_columnar_steady_state();
 }

@@ -89,82 +89,10 @@ pub fn fx_hash_one<T: std::hash::Hash>(v: &T) -> u64 {
     h.finish()
 }
 
-/// One fx round: the `FxHasher::add_to_hash` step as a pure function, so
-/// the column kernels below can keep several rows' states in registers.
+/// One fx round: the `FxHasher::add_to_hash` step as a pure function.
 #[inline(always)]
 fn fx_mix(state: u64, word: u64) -> u64 {
     (state.rotate_left(5) ^ word).wrapping_mul(SEED)
-}
-
-/// Scalar column-hash fallback: hashes each fixed-arity row of `flat`
-/// (row-major, `flat.len() / arity` rows) as the word sequence
-/// `[prefix, v_0, .., v_{arity-1}]`, appending one digest per row to `out`.
-///
-/// With `prefix = arity as u64` this is bit-identical to
-/// [`fx_hash_one`] over the row slice (the length-prefixed `[u64]` chain
-/// the relation dedup tables key on) and to `fx_hash_one` over a
-/// [`Key`](crate::value::Key) whose live values are the row (the
-/// `write_u8(len)` + `write_u64` chain the index's `KeyMap`s key on) —
-/// both reduce to the same `u64` word sequence.
-pub fn fx_hash_columns_scalar(prefix: u64, arity: usize, flat: &[u64], out: &mut Vec<u64>) {
-    assert!(arity > 0, "column hashing needs at least one column");
-    assert_eq!(
-        flat.len() % arity,
-        0,
-        "flat column length must be row-major"
-    );
-    let seeded = fx_mix(0, prefix);
-    out.reserve(flat.len() / arity);
-    for row in flat.chunks_exact(arity) {
-        let mut s = seeded;
-        for &v in row {
-            s = fx_mix(s, v);
-        }
-        out.push(s);
-    }
-}
-
-/// Multi-lane unrolled column-hash kernel: same contract as
-/// [`fx_hash_columns_scalar`], but four rows' hash states advance per loop
-/// iteration so the rotate/xor/multiply chains of independent rows overlap
-/// in the pipeline.
-pub fn fx_hash_columns_unrolled(prefix: u64, arity: usize, flat: &[u64], out: &mut Vec<u64>) {
-    assert!(arity > 0, "column hashing needs at least one column");
-    assert_eq!(
-        flat.len() % arity,
-        0,
-        "flat column length must be row-major"
-    );
-    let n = flat.len() / arity;
-    let seeded = fx_mix(0, prefix);
-    out.reserve(n);
-    let mut rows = flat.chunks_exact(arity * 4);
-    for quad in &mut rows {
-        let (mut a, mut b, mut c, mut d) = (seeded, seeded, seeded, seeded);
-        for j in 0..arity {
-            a = fx_mix(a, quad[j]);
-            b = fx_mix(b, quad[arity + j]);
-            c = fx_mix(c, quad[2 * arity + j]);
-            d = fx_mix(d, quad[3 * arity + j]);
-        }
-        out.extend_from_slice(&[a, b, c, d]);
-    }
-    fx_hash_columns_scalar(prefix, arity, rows.remainder(), out);
-}
-
-/// Hashes whole key columns in one tight loop: the vectorized front door
-/// the columnar ingest path uses for relation dedup hashes and projected
-/// `Key` hashes alike.
-///
-/// Dispatches to [`fx_hash_columns_unrolled`] by default; building
-/// `rsj-common` with the `scalar-hash` feature swaps in
-/// [`fx_hash_columns_scalar`] (identical digests, no unrolling).
-#[inline]
-pub fn fx_hash_columns(prefix: u64, arity: usize, flat: &[u64], out: &mut Vec<u64>) {
-    #[cfg(not(feature = "scalar-hash"))]
-    fx_hash_columns_unrolled(prefix, arity, flat, out);
-    #[cfg(feature = "scalar-hash")]
-    fx_hash_columns_scalar(prefix, arity, flat, out);
 }
 
 /// Hashes one bare `u64` per row — the `FxHasher::write_u64` + `finish`
@@ -213,61 +141,6 @@ mod tests {
             for j in (i + 1)..hashes.len() {
                 assert_ne!(hashes[i], hashes[j], "{:?} vs {:?}", inputs[i], inputs[j]);
             }
-        }
-    }
-
-    #[test]
-    fn column_kernel_matches_slice_chain() {
-        // The relation dedup tables hash `&[Value]` (length-prefixed u64
-        // slice). The column kernel with `prefix = arity` must reproduce
-        // those digests bit-for-bit, unrolled and scalar alike.
-        for arity in 1..=5usize {
-            let rows: Vec<Vec<u64>> = (0..23u64)
-                .map(|i| (0..arity as u64).map(|j| i * 31 + j * 7).collect())
-                .collect();
-            let flat: Vec<u64> = rows.iter().flatten().copied().collect();
-            let expect: Vec<u64> = rows.iter().map(|r| fx_hash_one(&r.as_slice())).collect();
-            let mut unrolled = Vec::new();
-            fx_hash_columns_unrolled(arity as u64, arity, &flat, &mut unrolled);
-            assert_eq!(unrolled, expect, "arity {arity} unrolled");
-            let mut scalar = Vec::new();
-            fx_hash_columns_scalar(arity as u64, arity, &flat, &mut scalar);
-            assert_eq!(scalar, expect, "arity {arity} scalar");
-            let mut dispatch = Vec::new();
-            fx_hash_columns(arity as u64, arity, &flat, &mut dispatch);
-            assert_eq!(dispatch, expect, "arity {arity} dispatch");
-        }
-    }
-
-    #[test]
-    fn column_kernel_matches_key_chain() {
-        // The index's `KeyMap`s hash `Key` (`write_u8(len)` then one
-        // `write_u64` per live value) — the same word sequence, so one
-        // kernel serves both call sites.
-        for arity in 1..=4usize {
-            let keys: Vec<Key> = (0..17u64)
-                .map(|i| Key::from_slice(&vec![i.wrapping_mul(0x9E37); arity]))
-                .collect();
-            let flat: Vec<u64> = keys.iter().flat_map(|k| k.as_slice().to_vec()).collect();
-            let expect: Vec<u64> = keys.iter().map(fx_hash_one).collect();
-            let mut got = Vec::new();
-            fx_hash_columns(arity as u64, arity, &flat, &mut got);
-            assert_eq!(got, expect, "arity {arity}");
-        }
-    }
-
-    #[test]
-    fn column_kernel_handles_tails_and_appends() {
-        // Row counts that are not multiples of the lane width exercise the
-        // scalar tail, and the kernel must append (callers batch several
-        // projection sets into one output vector).
-        let flat: Vec<u64> = (0..7u64).collect();
-        let mut out = vec![99];
-        fx_hash_columns_unrolled(1, 1, &flat, &mut out);
-        assert_eq!(out.len(), 8);
-        assert_eq!(out[0], 99);
-        for (i, &v) in flat.iter().enumerate() {
-            assert_eq!(out[i + 1], fx_hash_one(&std::slice::from_ref(&v)), "{i}");
         }
     }
 

@@ -118,12 +118,11 @@ pub trait JoinSampler {
 
     /// Feeds a columnar (struct-of-arrays) batch.
     ///
-    /// The default adapter shreds the batch back to rows in arrival order
-    /// through [`process`](JoinSampler::process) — byte-identical to having
-    /// fed the source rows directly, so every engine accepts columnar
-    /// ingest. Engines with a columnar fast path (the `RSJoin` family, the
-    /// sharded executor) override it; see ARCHITECTURE.md, "Columnar
-    /// ingest".
+    /// The batch is a transport format: the default adapter shreds it back
+    /// to rows in arrival order through [`process`](JoinSampler::process),
+    /// byte-identical to having fed the source rows directly. Only the
+    /// sharded executor overrides it, to split the batch across shards
+    /// without re-shaping it; see ARCHITECTURE.md, "Columnar transport".
     fn process_columnar(&mut self, batch: &ColumnarBatch) {
         batch.shred(|rel, t| self.process(rel, t));
     }
@@ -163,11 +162,11 @@ pub trait JoinSampler {
     /// byte-identical to its pre-batch state (the same contract the
     /// service layer enforces per batch).
     ///
-    /// Delete-free windows are routed through the columnar ingest path
-    /// ([`process_columnar`](JoinSampler::process_columnar)) — identical
-    /// samples and stats, batch-amortized hashing for engines with the
-    /// fast path. Windows containing any delete stay on the per-op path
-    /// (the columnar layout is insert-only).
+    /// Delete-free windows travel as one [`ColumnarBatch`] through
+    /// [`process_columnar`](JoinSampler::process_columnar), with identical
+    /// samples and stats (the sharded executor routes the whole window at
+    /// once). Windows containing any delete stay on the per-op path (the
+    /// columnar layout is insert-only).
     fn process_op_batch(&mut self, ops: &[StreamOp]) -> Result<(), DeleteUnsupported> {
         if let Some(batch) = ColumnarBatch::from_insert_ops(ops) {
             self.process_columnar(&batch);
@@ -367,12 +366,6 @@ impl JoinSampler for ReservoirJoin {
 
     fn process_batch(&mut self, batch: &[InputTuple]) {
         ReservoirJoin::process_batch(self, batch);
-    }
-
-    /// Columnar fast path: column-hashed dedup, per-tuple application —
-    /// byte-identical samples to the row path.
-    fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        ReservoirJoin::process_columnar(self, batch);
     }
 
     fn replan(&mut self) -> bool {
@@ -715,7 +708,7 @@ mod tests {
 
     #[test]
     fn insert_only_op_batches_match_columnar_ingest() {
-        // A delete-free op batch takes the columnar fast path; the stats
+        // A delete-free op batch travels as a columnar batch; the stats
         // and the reservoir bytes must match both an explicit columnar
         // call and tuple-at-a-time processing of the same arrivals.
         let mut rng = rsj_common::rng::RsjRng::seed_from_u64(77);
@@ -744,7 +737,7 @@ mod tests {
 
     #[test]
     fn columnar_reservoir_bytes_match_row_path() {
-        // The byte-exactness contract of `ReservoirJoin::process_columnar`:
+        // The byte-exactness contract of `JoinSampler::process_columnar`:
         // identical reservoir contents (not just distribution) regardless
         // of how the stream is chunked into columnar batches.
         for seed in [1u64, 9, 42] {

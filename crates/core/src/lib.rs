@@ -31,7 +31,6 @@
 pub mod count;
 pub mod cyclic;
 pub mod exec;
-pub mod export;
 pub mod fk_runtime;
 pub mod reservoir_join;
 pub mod sampler_facade;

@@ -36,12 +36,11 @@
 
 use crate::count::exact_result_count;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::hash::fx_hash_columns;
 use rsj_common::rng::{child_seed, RsjRng};
 use rsj_common::{FxHashMap, TupleId, Value};
 use rsj_index::{DeltaBatch, DynamicIndex, FullSampler, IndexOptions, IndexStats};
 use rsj_query::{Plan, Planner, Query};
-use rsj_storage::{ColumnarBatch, InputTuple, TableStatistics, TupleStream};
+use rsj_storage::{InputTuple, TableStatistics, TupleStream};
 use rsj_stream::{FnBatch, Reservoir};
 
 /// The root with the smallest observed implicit array `|J_root|` —
@@ -444,15 +443,6 @@ impl ReservoirJoin {
         Some(tid)
     }
 
-    /// [`process`](ReservoirJoin::process) with the relation's dedup hash
-    /// precomputed (by the columnar batch front end).
-    fn process_hashed(&mut self, rel: usize, tuple: &[Value], hash: u64) -> Option<TupleId> {
-        self.maybe_auto_replan();
-        let tid = self.index.insert_hashed(rel, tuple, hash)?;
-        self.core.consume_delta(&self.index, rel, tid);
-        Some(tid)
-    }
-
     /// Auto-replan fires *between* tuples, never between an insert and
     /// the consumption of its delta batch: a rebuild reassigns tuple
     /// ids (tombstones compact away) and runs a repair point, so an
@@ -484,38 +474,6 @@ impl ReservoirJoin {
     /// Processes an entire stream in arrival order.
     pub fn process_stream(&mut self, stream: &TupleStream) {
         self.process_batch(stream.tuples());
-    }
-
-    /// Processes a columnar batch, byte-identically to shredding it
-    /// through [`process`](ReservoirJoin::process) in arrival order (the
-    /// golden-digest suite pins this).
-    ///
-    /// Reservoir skips, replan checkpoints, and delta batches are all
-    /// order-sensitive, so tuples still apply one at a time; the work
-    /// hoisted out of the loop is the plan-independent part — every row's
-    /// relation dedup hash, computed column-wise by the vectorized
-    /// [`fx_hash_columns`] kernel. Index-only pipelines that can accept
-    /// physical reordering use `DynamicIndex::insert_columnar` instead.
-    pub fn process_columnar(&mut self, batch: &ColumnarBatch) {
-        let nrels = batch.num_relations();
-        let mut hashes: Vec<Vec<u64>> = Vec::with_capacity(nrels);
-        let mut flat: Vec<Value> = Vec::new();
-        for rel in 0..nrels {
-            let rc = batch.relation(rel);
-            let mut h = Vec::new();
-            if rc.rows() > 0 {
-                flat.clear();
-                rc.gather_rows(&mut flat);
-                fx_hash_columns(rc.arity() as u64, rc.arity(), &flat, &mut h);
-            }
-            hashes.push(h);
-        }
-        let mut row = Vec::new();
-        for &(rel, r) in batch.arrivals() {
-            row.clear();
-            batch.relation(rel as usize).write_row(r as usize, &mut row);
-            self.process_hashed(rel as usize, &row, hashes[rel as usize][r as usize]);
-        }
     }
 
     /// Deletes one input tuple (turnstile streams — see the [module

@@ -54,7 +54,6 @@ use crate::count::{exact_result_count, JoinCounter};
 use crate::exec::JoinSampler;
 use crate::reservoir_join::{DeltaCache, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::hash::fx_hash_columns;
 use rsj_common::rng::RsjRng;
 use rsj_common::{EpochCell, HeapSize, TupleId, Value};
 use rsj_index::dynamic::IndexError;
@@ -636,13 +635,12 @@ impl SamplerService {
         Ok(())
     }
 
-    /// Ingests a columnar batch: each row's relation dedup hash is
-    /// computed once by the vectorized column kernel and shared by every
-    /// index group, so the batch amortization compounds with the storage
-    /// sharing. Byte-identical per member to feeding the batch's rows
-    /// through [`process_op`](SamplerService::process_op) in arrival
-    /// order. The batch is atomic with respect to publish points: the
-    /// cadence check runs once, after the whole batch.
+    /// Ingests a columnar batch. The whole batch is validated before any
+    /// row is retained or applied; each index group then applies the rows
+    /// in arrival order, byte-identically per member to feeding them
+    /// through [`process_op`](SamplerService::process_op). The batch is
+    /// atomic with respect to publish points: the cadence check runs
+    /// once, after the whole batch.
     pub fn process_columnar(&mut self, batch: &ColumnarBatch) -> Result<(), ServiceError> {
         let nrels = batch.num_relations();
         if nrels > self.universe.num_relations() {
@@ -663,27 +661,11 @@ impl SamplerService {
         }
         // Retain first (the store is the authority every backfill and
         // restore replays), then apply.
-        let mut row = Vec::new();
-        for &(rel, r) in batch.arrivals() {
-            row.clear();
-            batch.relation(rel as usize).write_row(r as usize, &mut row);
+        batch.shred(|rel, row| {
             self.store
-                .append_owned(StreamOp::insert(rel as usize, row.clone()))
+                .append_owned(StreamOp::insert(rel, row.to_vec()))
                 .expect("batch validated against the universe");
-        }
-        // One hash pass per relation, shared across all index groups.
-        let mut hashes: Vec<Vec<u64>> = Vec::with_capacity(nrels);
-        let mut flat: Vec<Value> = Vec::new();
-        for rel in 0..nrels {
-            let rc = batch.relation(rel);
-            let mut h = Vec::new();
-            if rc.rows() > 0 {
-                flat.clear();
-                rc.gather_rows(&mut flat);
-                fx_hash_columns(rc.arity() as u64, rc.arity(), &flat, &mut h);
-            }
-            hashes.push(h);
-        }
+        });
         for g in &mut self.groups {
             let Group {
                 index,
@@ -691,23 +673,15 @@ impl SamplerService {
                 cache,
                 ..
             } = g;
-            for &(rel, r) in batch.arrivals() {
-                row.clear();
-                batch.relation(rel as usize).write_row(r as usize, &mut row);
-                if let Some(tid) =
-                    index.insert_hashed(rel as usize, &row, hashes[rel as usize][r as usize])
-                {
-                    Self::consume_group(index, members, cache, rel as usize, tid);
+            batch.shred(|rel, row| {
+                if let Some(tid) = index.insert(rel, row) {
+                    Self::consume_group(index, members, cache, rel, tid);
                 }
-            }
+            });
         }
         for b in &mut self.boxed {
             b.sampler.process_columnar(batch);
-            for &(rel, r) in batch.arrivals() {
-                row.clear();
-                batch.relation(rel as usize).write_row(r as usize, &mut row);
-                b.counter.insert(rel as usize, row.clone());
-            }
+            batch.shred(|rel, row| b.counter.insert(rel, row.to_vec()));
         }
         self.ops_since_publish += batch.arrivals().len() as u64;
         self.maybe_publish();

@@ -272,8 +272,8 @@ type BuildFn = Box<dyn Fn(u64) -> Result<Box<dyn JoinSampler + Send>, String> + 
 enum Msg {
     Batch(Vec<StreamOp>),
     /// A columnar sub-batch (inserts only): the routing side has already
-    /// partitioned it, the worker ingests it through the engine's columnar
-    /// path.
+    /// partitioned it, the worker hands it to the engine's
+    /// `process_columnar`.
     Columnar(ColumnarBatch),
     Read(mpsc::Sender<Snapshot>),
     /// Ask the inner engine to re-evaluate its plan; replies with whether
@@ -321,8 +321,8 @@ fn worker_loop(
             Msg::Columnar(batch) => {
                 cached_count = None;
                 // The columnar twin of `Msg::Batch`: one batched call into
-                // the engine's columnar path, then the tuples move into the
-                // counter in arrival order.
+                // the engine, then the tuples move into the counter in
+                // arrival order.
                 sampler.process_columnar(&batch);
                 batch.shred(|rel, values| counter.insert(rel, values.to_vec()));
             }

@@ -3,8 +3,7 @@
 //!
 //! A [`ColumnarBatch`] groups a window of insert-only arrivals by target
 //! relation and stores each relation's tuples column-wise — one
-//! `Vec<Value>` per attribute — plus the relation-sorted arrival
-//! permutation, so both consumers are served without re-shaping:
+//! `Vec<Value>` per attribute — plus the arrival permutation:
 //!
 //! ```text
 //! arrivals:  (R0,row0) (R1,row0) (R0,row1) (R0,row2) (R1,row1) ...
@@ -14,13 +13,11 @@
 //!              col B: [b0, b1, b2, ..]                  col B: [..]
 //! ```
 //!
-//! * The **columnar fast path** (`DynamicIndex::insert_columnar`) walks
-//!   whole per-relation columns: gathers projection columns, hashes them in
-//!   one tight loop, and groups index probes by hash.
-//! * The **byte-exact path** (golden-digest sampling) replays the arrival
-//!   permutation, re-materializing each row in its original stream
-//!   position, so sampling engines consume the exact tuple order the row
-//!   path would have seen.
+//! The batch is a *transport* format: the sharded router splits it by
+//! key columns, and every consumer turns it back into the ordinary
+//! per-tuple path by replaying the arrival permutation
+//! ([`ColumnarBatch::shred`], [`RelationColumns::write_row`]), so each row
+//! reaches the index and the reservoir in its original stream position.
 //!
 //! Within one relation, row order is arrival order — shredding a batch
 //! back to rows ([`ColumnarBatch::shred`]) reproduces the source stream
@@ -56,38 +53,6 @@ impl RelationColumns {
     pub fn write_row(&self, row: usize, out: &mut Vec<Value>) {
         for col in &self.cols {
             out.push(col[row]);
-        }
-    }
-
-    /// Appends every row, row-major, to `out` — the transpose back to the
-    /// flat layout [`Relation::insert`](crate::Relation::insert) and the
-    /// column-hash kernels consume.
-    pub fn gather_rows(&self, out: &mut Vec<Value>) {
-        self.gather_rows_from(0, out);
-    }
-
-    /// Row-major gather starting at row `first` (tail of a partially
-    /// consumed batch).
-    pub fn gather_rows_from(&self, first: usize, out: &mut Vec<Value>) {
-        let n = self.rows();
-        out.reserve((n - first) * self.arity());
-        for row in first..n {
-            for col in &self.cols {
-                out.push(col[row]);
-            }
-        }
-    }
-
-    /// Appends the projection of every row onto the attribute positions
-    /// `attrs`, row-major, to `out` — one gather builds the flat key
-    /// column for a whole projection-plan entry.
-    pub fn gather_attrs(&self, attrs: &[usize], out: &mut Vec<Value>) {
-        let n = self.rows();
-        out.reserve(n * attrs.len());
-        for row in 0..n {
-            for &a in attrs {
-                out.push(self.cols[a][row]);
-            }
         }
     }
 
@@ -256,23 +221,6 @@ mod tests {
         assert_eq!(r0.column(1), &[2, 4, 6]);
         assert_eq!(b.relation(1).rows(), 0);
         assert_eq!(b.relation(2).column(0), &[7, 9]);
-    }
-
-    #[test]
-    fn gathers_transpose_back_to_row_major() {
-        let b = ColumnarBatch::from_rows(&sample_rows());
-        let mut flat = Vec::new();
-        b.relation(0).gather_rows(&mut flat);
-        assert_eq!(flat, vec![1, 2, 3, 4, 5, 6]);
-        flat.clear();
-        b.relation(0).gather_rows_from(1, &mut flat);
-        assert_eq!(flat, vec![3, 4, 5, 6]);
-        let mut proj = Vec::new();
-        b.relation(0).gather_attrs(&[1], &mut proj);
-        assert_eq!(proj, vec![2, 4, 6]);
-        proj.clear();
-        b.relation(0).gather_attrs(&[1, 0], &mut proj);
-        assert_eq!(proj, vec![2, 1, 4, 3, 6, 5]);
     }
 
     #[test]

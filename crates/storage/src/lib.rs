@@ -20,7 +20,7 @@
 //!   (turnstile) stream of interleaved inserts and deletes;
 //! * [`columnar::ColumnarBatch`] — an insert-only stream window in
 //!   struct-of-arrays form (one column vector per attribute, per relation),
-//!   the substrate of the columnar ingest fast path;
+//!   the batch transport format that engines shred back to rows;
 //! * [`shared::SharedStore`] — the sampler service's retained op history
 //!   with per-relation registration reference counts (one copy of the
 //!   stream shared by every registered query);

@@ -89,26 +89,13 @@ impl Relation {
     /// # Panics
     /// Panics if `tuple.len() != arity`.
     pub fn insert(&mut self, tuple: &[Value]) -> Option<TupleId> {
-        let h = fx_hash_one(&tuple);
-        self.insert_hashed(tuple, h)
-    }
-
-    /// [`Relation::insert`] with the content hash precomputed by the caller
-    /// — the columnar ingest path hashes whole batches in one vectorized
-    /// pass and hands each digest down here. `h` must equal
-    /// `fx_hash_one(&tuple)` (the column-hash kernel reproduces that chain
-    /// bit-for-bit).
-    ///
-    /// # Panics
-    /// Panics if `tuple.len() != arity`.
-    pub fn insert_hashed(&mut self, tuple: &[Value], h: u64) -> Option<TupleId> {
         assert_eq!(
             tuple.len(),
             self.arity,
             "arity mismatch inserting into {}",
             self.name
         );
-        debug_assert_eq!(h, fx_hash_one(&tuple), "precomputed dedup hash drifted");
+        let h = fx_hash_one(&tuple);
         if let Some(&list) = self.dedup.get(&h) {
             if self
                 .dedup_postings

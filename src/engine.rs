@@ -367,10 +367,10 @@ pub fn run_workload(
     seed: u64,
 ) -> Result<Box<dyn JoinSampler + Send>, EngineError> {
     let mut s = engine.build(&w.query, k, seed, &workload_opts(w))?;
-    // Native columnar ingest: both phases ship as struct-of-arrays batches
-    // with bulk-hashed keys. Engines without a columnar override shred the
-    // batch back tuple-at-a-time, so every engine sees the same arrival
-    // order (and the RSJoin family the same bytes) as the row path.
+    // Both phases ship as struct-of-arrays batches. Engines shred them back
+    // tuple-at-a-time (the sharded executor after routing), so every
+    // engine sees the same arrival order and the same bytes as the row
+    // path.
     s.process_columnar(&rsj_storage::ColumnarBatch::from_rows(&w.preload));
     s.process_columnar(&rsj_storage::ColumnarBatch::from(&w.stream));
     Ok(s)

@@ -179,7 +179,8 @@ fn mid_stream_registration_is_byte_identical_to_early() {
 }
 
 /// The columnar ingest path is byte-identical to the row path for every
-/// member — shared and boxed — across uneven chunk boundaries.
+/// member — shared, in a second index group, and boxed — across uneven
+/// chunk boundaries.
 #[test]
 fn columnar_ingest_matches_row_ingest_for_every_member() {
     let q = line3();
@@ -201,10 +202,21 @@ fn columnar_ingest_matches_row_ingest_for_every_member() {
                     .unwrap(),
             )
             .unwrap();
-        (a, b, c)
+        // Different index options: same tree, its own index group.
+        let d = svc
+            .register(
+                &q,
+                &QueryOpts {
+                    index: IndexOptions { grouping: false },
+                    ..QueryOpts::new(8, 4)
+                },
+            )
+            .unwrap();
+        (a, b, c, d)
     };
     let mut columnar = SamplerService::new(q.clone());
     let hc = build(&mut columnar);
+    assert_eq!(columnar.num_groups(), 2);
     // Uneven chunks: 37 rows per batch exercises mid-batch group state.
     for chunk in rows.chunks(37) {
         columnar
@@ -217,7 +229,7 @@ fn columnar_ingest_matches_row_ingest_for_every_member() {
         rowwise.process(t.relation, &t.values).unwrap();
     }
     assert_eq!(columnar.lsn(), rowwise.lsn());
-    for (a, b) in [(hc.0, hr.0), (hc.1, hr.1), (hc.2, hr.2)] {
+    for (a, b) in [(hc.0, hr.0), (hc.1, hr.1), (hc.2, hr.2), (hc.3, hr.3)] {
         assert_eq!(
             digest(&columnar.samples(a).unwrap()),
             digest(&rowwise.samples(b).unwrap()),
