@@ -138,6 +138,10 @@ impl JoinSampler for SJoinOpt {
         self.rewritten_query()
     }
 
+    fn input_query(&self) -> &Query {
+        self.query()
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         SJoinOpt::process(self, rel, tuple);
     }

@@ -718,6 +718,8 @@ impl SJoin {
 
 /// `SJoin_opt`: SJoin behind the foreign-key combination rewrite.
 pub struct SJoinOpt {
+    /// The original query the input stream addresses.
+    query: Query,
     combiner: rsj_core::FkCombiner,
     inner: SJoin,
 }
@@ -733,6 +735,7 @@ impl SJoinOpt {
         let plan = rsj_query::CombinePlan::build(query, fks).map_err(|e| e.to_string())?;
         let inner = SJoin::new(plan.rewritten.clone(), k, seed)?;
         Ok(SJoinOpt {
+            query: query.clone(),
             combiner: rsj_core::FkCombiner::new(plan),
             inner,
         })
@@ -781,6 +784,11 @@ impl SJoinOpt {
     /// The rewritten query.
     pub fn rewritten_query(&self) -> &Query {
         self.combiner.rewritten_query()
+    }
+
+    /// The original query, whose relations the input stream addresses.
+    pub fn query(&self) -> &Query {
+        &self.query
     }
 
     /// The inner driver.

@@ -1,135 +1,38 @@
-//! Exact `|Q(R)|` counting — the shared sidecar behind the sharded merge
-//! and the turnstile reservoir repair.
+//! Exact `|Q(R)|` counting outside a dynamic index.
 //!
-//! Acyclic queries count by one bottom-up message pass over the join tree
-//! (`O(N)` with hashing); queries without a join tree fall back to
-//! backtracking enumeration. Two frontends share the walk:
+//! Engines built on a [`DynamicIndex`](rsj_index::DynamicIndex) read the
+//! exact count from the index's resident view
+//! ([`DynamicIndex::exact_count`](rsj_index::DynamicIndex::exact_count)),
+//! which folds a signed dirty log instead of recounting. What stays here
+//! is counting from scratch, over the one allocation-free message pass
+//! ([`CountPlan`]) the view's own full-pass fallback runs:
 //!
 //! * [`exact_result_count`] counts directly over a [`Database`] (live
-//!   tuples only — tombstones are skipped), used by `ReservoirJoin`'s
-//!   deletion repair to recalibrate the reservoir against the exact live
-//!   population;
-//! * `JoinCounter` (crate-internal, used by the sharded workers) owns its
-//!   tuple sets — the workers have no relation access through the
-//!   `JoinSampler` interface — and counts on demand, with deletions
-//!   removing from the sets.
+//!   tuples only — tombstones are skipped): the stand-alone oracle tests
+//!   and benchmarks check the view against. It builds the join tree on
+//!   every call, so engines never call it on a hot path;
+//! * `JoinCounter` (crate-internal, used by the sharded workers and the
+//!   service's boxed members) owns its tuple sets — those engines have no
+//!   relation access through the `JoinSampler` interface — and counts on
+//!   demand, with deletions removing from the sets.
+//!
+//! Acyclic queries count by one bottom-up pass over the join tree (`O(N)`
+//! with hashing); queries without a join tree (or with a join key wider
+//! than `MAX_KEY_ARITY`) fall back to backtracking enumeration.
 
 use rsj_common::codec::{CodecError, Decoder, Encoder};
-use rsj_common::{FxHashMap, FxHashSet, Value};
+use rsj_common::{FxHashSet, Value};
+use rsj_index::CountPlan;
 use rsj_query::{JoinTree, Query};
 use rsj_storage::Database;
-
-/// The rooted message-passing schedule for acyclic counting.
-pub(crate) struct CountPlan {
-    /// BFS order from the root (parents before children); counting walks it
-    /// in reverse.
-    order: Vec<usize>,
-    parent: Vec<Option<usize>>,
-    /// Per relation: schema positions projecting onto the attributes shared
-    /// with its parent.
-    up: Vec<Vec<usize>>,
-    /// Per relation: for each child, `(child, schema positions)` projecting
-    /// onto the same shared attributes in the same order as the child's
-    /// `up` projection.
-    down: Vec<Vec<(usize, Vec<usize>)>>,
-}
-
-impl CountPlan {
-    pub(crate) fn new(query: &Query, tree: &JoinTree) -> CountPlan {
-        let n = query.num_relations();
-        let mut parent = vec![None; n];
-        let mut order = vec![0usize];
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut i = 0;
-        while i < order.len() {
-            let r = order[i];
-            i += 1;
-            for &c in tree.neighbors(r) {
-                if !seen[c] {
-                    seen[c] = true;
-                    parent[c] = Some(r);
-                    order.push(c);
-                }
-            }
-        }
-        let mut up = vec![Vec::new(); n];
-        let mut down = vec![Vec::new(); n];
-        for c in 0..n {
-            if let Some(p) = parent[c] {
-                let ids = query.shared_attrs(c, p);
-                up[c] = ids
-                    .iter()
-                    .map(|&a| query.relation(c).position_of(a).expect("shared attr"))
-                    .collect();
-                down[p].push((
-                    c,
-                    ids.iter()
-                        .map(|&a| query.relation(p).position_of(a).expect("shared attr"))
-                        .collect(),
-                ));
-            }
-        }
-        CountPlan {
-            order,
-            parent,
-            up,
-            down,
-        }
-    }
-
-    /// One bottom-up message pass; `tuples_of(rel)` yields the live tuples
-    /// of each relation.
-    fn count<'a>(
-        &self,
-        n: usize,
-        tuples_of: impl Fn(usize) -> Box<dyn Iterator<Item = &'a [Value]> + 'a>,
-    ) -> u128 {
-        // msgs[c]: sum of subtree weights of c's tuples, grouped by the
-        // projection onto the attributes shared with c's parent.
-        let mut msgs: Vec<FxHashMap<Vec<Value>, u128>> = vec![FxHashMap::default(); n];
-        let mut total: u128 = 0;
-        for &r in self.order.iter().rev() {
-            for t in tuples_of(r) {
-                let mut w: u128 = 1;
-                for (c, pos) in &self.down[r] {
-                    let key: Vec<Value> = pos.iter().map(|&p| t[p]).collect();
-                    match msgs[*c].get(&key) {
-                        Some(&s) => w = w.saturating_mul(s),
-                        None => {
-                            w = 0;
-                            break;
-                        }
-                    }
-                }
-                if w == 0 {
-                    continue;
-                }
-                match self.parent[r] {
-                    Some(_) => {
-                        let key: Vec<Value> = self.up[r].iter().map(|&p| t[p]).collect();
-                        let slot = msgs[r].entry(key).or_insert(0);
-                        *slot = slot.saturating_add(w);
-                    }
-                    None => total = total.saturating_add(w),
-                }
-            }
-        }
-        total
-    }
-}
 
 /// Exact `|Q(R)|` over the live tuples of `db`.
 ///
 /// One `O(N)` join-tree message pass for acyclic queries, backtracking
-/// enumeration otherwise. Tombstoned (deleted) tuples are skipped — this is
-/// the exact post-delete population the turnstile reservoir repair
-/// recalibrates against.
+/// enumeration otherwise. Tombstoned (deleted) tuples are skipped.
 pub fn exact_result_count(query: &Query, db: &Database) -> u128 {
-    match JoinTree::build(query) {
-        Some(tree) => CountPlan::new(query, &tree).count(query.num_relations(), |r| {
-            Box::new(db.relation(r).iter().map(|(_, t)| t))
-        }),
+    match JoinTree::build(query).and_then(|tree| CountPlan::new(query, &tree)) {
+        Some(plan) => plan.count(|r| db.relation(r).iter().map(|(_, t)| t)),
         None => {
             let seen: Vec<Vec<Vec<Value>>> = (0..query.num_relations())
                 .map(|r| db.relation(r).iter().map(|(_, t)| t.to_vec()).collect())
@@ -158,7 +61,7 @@ pub(crate) struct JoinCounter {
 
 impl JoinCounter {
     pub(crate) fn new(query: Query) -> JoinCounter {
-        let plan = JoinTree::build(&query).map(|t| CountPlan::new(&query, &t));
+        let plan = JoinTree::build(&query).and_then(|t| CountPlan::new(&query, &t));
         let seen = vec![FxHashSet::default(); query.num_relations()];
         JoinCounter { query, plan, seen }
     }
@@ -242,9 +145,7 @@ impl JoinCounter {
     /// Exact `|Q_i|` over the live accepted tuples.
     pub(crate) fn count(&self) -> u128 {
         match &self.plan {
-            Some(plan) => plan.count(self.query.num_relations(), |r| {
-                Box::new(self.seen[r].iter().map(|t| t.as_slice()))
-            }),
+            Some(plan) => plan.count(|r| self.seen[r].iter().map(|t| t.as_slice())),
             None => {
                 let seen: Vec<Vec<Vec<Value>>> = self
                     .seen

@@ -171,11 +171,13 @@ impl CyclicReservoirJoin {
         self.deletes
     }
 
-    /// Exact live `|Q(R)|`, computed on demand from the inner driver's
-    /// bag-level relations (`O(N^w)` in the worst case — the same walk the
-    /// delete repair uses).
+    /// Exact live `|Q(R)|`: the bag-level join's count (equal to the
+    /// original query's), read from the inner index's resident count view
+    /// — the same view the delete repair folds. The bag relations hold
+    /// `O(N^w)` tuples in the worst case; a count folds only the bag
+    /// deltas logged since the previous one.
     pub fn exact_result_count(&self) -> u128 {
-        crate::count::exact_result_count(self.inner.index().query(), self.inner.index().database())
+        self.inner.index().exact_count()
     }
 
     /// Serializes the full dynamic state: bag trie contents, the stream

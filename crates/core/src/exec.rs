@@ -93,6 +93,17 @@ pub trait JoinSampler {
     /// original query's.
     fn output_query(&self) -> &Query;
 
+    /// The query whose relations the *input* stream addresses: ops name
+    /// its relation indices and carry tuples of its arities. Defaults to
+    /// [`output_query`](JoinSampler::output_query); engines that rewrite
+    /// their query (foreign-key combination, GHD bags, sharding over a
+    /// rewriting engine) return the original. Callers validate ops
+    /// against it before handing them over — the durability layer does,
+    /// so an op the engine would reject never reaches the log.
+    fn input_query(&self) -> &Query {
+        self.output_query()
+    }
+
     /// Feeds one tuple of the original stream. Duplicate tuples are no-ops
     /// (set semantics).
     fn process(&mut self, rel: usize, tuple: &[Value]);
@@ -286,6 +297,10 @@ impl<S: JoinSampler + ?Sized> JoinSampler for Box<S> {
         (**self).output_query()
     }
 
+    fn input_query(&self) -> &Query {
+        (**self).input_query()
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         (**self).process(rel, tuple)
     }
@@ -436,6 +451,10 @@ impl JoinSampler for FkReservoirJoin {
         self.rewritten_query()
     }
 
+    fn input_query(&self) -> &Query {
+        self.query()
+    }
+
     fn process(&mut self, rel: usize, tuple: &[Value]) {
         FkReservoirJoin::process(self, rel, tuple);
     }
@@ -480,8 +499,8 @@ impl JoinSampler for FkReservoirJoin {
             deletes: Some(self.combiner().deletes()),
             reservoir_stops: Some(self.inner().reservoir_stops()),
             heap_bytes: Some(self.heap_size()),
-            // Recomputed on demand from the stored relations (O(N) walk —
-            // the same pass the delete repair uses), not maintained per op.
+            // Read from the inner index's resident count view (the one
+            // the delete repair folds).
             exact_results: Some(self.exact_result_count()),
             ..SamplerStats::default()
         }
@@ -511,6 +530,10 @@ impl JoinSampler for CyclicReservoirJoin {
 
     fn output_query(&self) -> &Query {
         self.inner().index().query()
+    }
+
+    fn input_query(&self) -> &Query {
+        self.query()
     }
 
     fn process(&mut self, rel: usize, tuple: &[Value]) {
@@ -555,8 +578,8 @@ impl JoinSampler for CyclicReservoirJoin {
             deletes: Some(self.deletes()),
             reservoir_stops: Some(self.inner().reservoir_stops()),
             heap_bytes: Some(self.heap_size()),
-            // Recomputed on demand from the bag-level relations (worst
-            // case O(N^w), the delete-repair walk), not maintained per op.
+            // Read from the bag-level index's resident count view (the
+            // one the delete repair folds).
             exact_results: Some(self.exact_result_count()),
             ..SamplerStats::default()
         }

@@ -529,6 +529,8 @@ impl From<rsj_index::dynamic::IndexError> for FkBuildError {
 /// `RSJoin_opt`: a [`super::ReservoirJoin`] over the FK-rewritten query,
 /// fed through an [`FkCombiner`].
 pub struct FkReservoirJoin {
+    /// The original query the input stream addresses.
+    query: Query,
     combiner: FkCombiner,
     inner: super::ReservoirJoin,
 }
@@ -557,6 +559,7 @@ impl FkReservoirJoin {
         let plan = CombinePlan::build(query, fks)?;
         let inner = super::ReservoirJoin::with_options(plan.rewritten.clone(), k, seed, options)?;
         Ok(FkReservoirJoin {
+            query: query.clone(),
             combiner: FkCombiner::new(plan),
             inner,
         })
@@ -589,6 +592,11 @@ impl FkReservoirJoin {
         self.combiner.rewritten_query()
     }
 
+    /// The original query, whose relations the input stream addresses.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
     /// The streaming combiner.
     pub fn combiner(&self) -> &FkCombiner {
         &self.combiner
@@ -605,10 +613,11 @@ impl FkReservoirJoin {
         &mut self.inner
     }
 
-    /// Exact live `|Q(R)|`, computed on demand from the inner driver's
-    /// stored relations (`O(N)` — same walk the delete repair uses).
+    /// Exact live `|Q(R)|`, read from the inner index's resident count
+    /// view — the same view the delete repair folds, so a count costs the
+    /// combined tuples logged since the previous one, not an `O(N)` walk.
     pub fn exact_result_count(&self) -> u128 {
-        crate::count::exact_result_count(self.inner.index().query(), self.inner.index().database())
+        self.inner.index().exact_count()
     }
 
     /// Serializes the full dynamic state: combiner registries, then the

@@ -45,8 +45,8 @@ pub use fk_runtime::{FkBuildError, FkCombiner, FkReservoirJoin};
 pub use reservoir_join::{ReplanPolicy, ReservoirJoin};
 pub use sampler_facade::DynamicSampleIndex;
 pub use service::{
-    QueryHandle, QueryOpts, RebuildFn, SampleReader, SampleSnapshot, SamplerService, ServiceError,
-    ServiceOpts,
+    validate_op, QueryHandle, QueryOpts, RebuildFn, SampleReader, SampleSnapshot, SamplerService,
+    ServiceError, ServiceOpts,
 };
 pub use shard::{
     ShardError, ShardFault, ShardHealth, ShardPlan, ShardedSampler, SupervisorPolicy,

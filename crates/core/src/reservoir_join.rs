@@ -20,11 +20,14 @@
 //!    simple random sampling, so the sample set is exactly uniform without
 //!    replacement over the post-delete `Q(R)`.
 //! 3. **Recalibrate** the skip state `(w, q)` against the *exact* live
-//!    `|Q(R)|` (one `O(N)` message-passing count), so subsequent inserts
-//!    are weighted as if the reservoir had run over the live population
-//!    from the start.
+//!    `|Q(R)|`, so subsequent inserts are weighted as if the reservoir had
+//!    run over the live population from the start. The count comes from
+//!    the index's resident count view
+//!    ([`DynamicIndex::exact_count`]), which folds the updates logged
+//!    since the previous count — work proportional to the join results
+//!    they touch, not an `O(N)` recount.
 //!
-//! Step 3 is the expensive one and runs only at *repair points*: deletes
+//! Steps 2–3 run only at *repair points*: deletes
 //! that evicted a sample, plus a forced refresh every `~|Q(R)|/4k`
 //! deletes (every delete while `|Q(R)| <= 4k`). Between repair points the
 //! sample stays a uniform subset of the live results; only the inclusion
@@ -33,8 +36,6 @@
 //! resets it exactly. Engines with `O(1)` exact counts (`SJoin`,
 //! `SymmetricHashJoin`) afford recalibration on *every* delete and carry
 //! no such drift; see ARCHITECTURE.md, "Update model".
-
-use crate::count::exact_result_count;
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::rng::{child_seed, RsjRng};
 use rsj_common::{FxHashMap, TupleId, Value};
@@ -294,7 +295,9 @@ impl SamplerCore {
     /// `~1/4k`. When the population is small (`<= 4k`) the period is 1 and
     /// every delete is a repair point, making the sample exactly uniform
     /// in precisely the regime where a single delete matters; for large
-    /// populations the `O(N)` count amortizes to `O(k)` per delete.
+    /// populations the backfill amortizes to `O(1)` draws per delete, and
+    /// each count folds only the `~|Q(R)|/4k` updates logged since the
+    /// previous one.
     pub(crate) fn repair_period(&self) -> u64 {
         1u64.max(
             (self.last_population / (4 * self.reservoir.capacity().max(1) as u128))
@@ -306,7 +309,7 @@ impl SamplerCore {
     /// `min(k, |Q(R)|)` distinct uniform results, skip-state
     /// recalibration.
     pub(crate) fn repair(&mut self, index: &DynamicIndex) {
-        let population = exact_result_count(index.query(), index.database());
+        let population = index.exact_count();
         self.last_population = population;
         self.deletes_since_repair = 0;
         let target = (self.reservoir.capacity() as u128).min(population) as usize;

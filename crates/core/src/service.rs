@@ -47,10 +47,12 @@
 //! [`SampleReader::snapshot`] retries on epoch mismatch and therefore
 //! always observes the state at some single published LSN — a reader can
 //! never pair one epoch's reservoir with another epoch's count
-//! (ARCHITECTURE.md, invariant 10). Exact `|Q(R)|` is computed once per
-//! *group* per publish point and shared by all members.
+//! (ARCHITECTURE.md, invariant 10). Exact `|Q(R)|` is read once per
+//! *group* per publish point from the shared index's resident count view
+//! (which folds the ops since the previous publish) and shared by all
+//! members.
 
-use crate::count::{exact_result_count, JoinCounter};
+use crate::count::JoinCounter;
 use crate::exec::JoinSampler;
 use crate::reservoir_join::{DeltaCache, SamplerCore};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
@@ -59,16 +61,32 @@ use rsj_common::{EpochCell, HeapSize, TupleId, Value};
 use rsj_index::dynamic::IndexError;
 use rsj_index::{DynamicIndex, IndexOptions};
 use rsj_query::{JoinTree, Plan, Query};
-use rsj_storage::{ColumnarBatch, OpStream, SharedStore, SharedStoreError, StreamOp};
+use rsj_storage::{check_op, ColumnarBatch, OpStream, SharedStore, SharedStoreError, StreamOp};
 use std::sync::Arc;
+
+/// Validates `op` against `query`'s relation ids and arities, and refuses
+/// a delete while `delete_blocker` names an insert-only engine. Both
+/// durability wrappers run this before logging an op: the engine would
+/// reject a failing op on apply, and again on every recovery replay.
+pub fn validate_op(
+    query: &Query,
+    delete_blocker: Option<&'static str>,
+    op: &StreamOp,
+) -> Result<(), ServiceError> {
+    if let (true, Some(engine)) = (op.is_delete(), delete_blocker) {
+        return Err(ServiceError::DeleteUnsupported(engine));
+    }
+    check_op(op, |r| query.relations().get(r).map(|s| s.attrs.len())).map_err(ServiceError::Store)
+}
 
 /// Service-wide configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceOpts {
     /// Ops between automatic publish points (`0` = publish only on
     /// explicit [`publish`](SamplerService::publish) calls). Each publish
-    /// point costs one exact `|Q(R)|` count per index group, so the
-    /// cadence trades reader freshness against ingest overhead.
+    /// point costs one exact `|Q(R)|` count per index group — a fold of
+    /// the ops since the previous publish — so the cadence trades reader
+    /// freshness against ingest overhead.
     pub publish_every: u64,
 }
 
@@ -547,25 +565,12 @@ impl SamplerService {
     /// durability wrapper runs before logging an op, so nothing ever
     /// reaches the WAL that replay would reject.
     pub fn validate_op(&self, op: &StreamOp) -> Result<(), ServiceError> {
-        if op.is_delete() {
-            if let Some(engine) = self.delete_blocker() {
-                return Err(ServiceError::DeleteUnsupported(engine));
-            }
-        }
-        let t = op.tuple();
-        let Some(schema) = self.universe.relations().get(t.relation) else {
-            return Err(ServiceError::Store(SharedStoreError::UnknownRelation(
-                t.relation,
-            )));
+        let blocker = if op.is_delete() {
+            self.delete_blocker()
+        } else {
+            None
         };
-        if t.values.len() != schema.attrs.len() {
-            return Err(ServiceError::Store(SharedStoreError::ArityMismatch {
-                relation: t.relation,
-                expected: schema.attrs.len(),
-                got: t.values.len(),
-            }));
-        }
-        Ok(())
+        validate_op(&self.universe, blocker, op)
     }
 
     /// Ingests one op: validate, retain, apply to every registration,
@@ -701,7 +706,7 @@ impl SamplerService {
         self.ops_since_publish = 0;
         let lsn = self.store.lsn();
         for g in &self.groups {
-            let population = exact_result_count(g.index.query(), g.index.database());
+            let population = g.index.exact_count();
             for m in &g.members {
                 Self::publish_cell(&m.cell, lsn, population, m.core.samples());
             }
@@ -759,11 +764,13 @@ impl SamplerService {
         }
     }
 
-    /// Exact live `|Q(R)|` for the registration (an `O(N)` count).
+    /// Exact live `|Q(R)|` for the registration: read from the shared
+    /// index's resident count view (a fold of the ops since the last
+    /// count) on the shared path, recounted by the `O(N)` sidecar pass
+    /// for boxed engines.
     pub fn exact_count(&self, handle: QueryHandle) -> Result<u128, ServiceError> {
         if let Some((gi, _)) = self.find_shared(handle.0) {
-            let g = &self.groups[gi];
-            Ok(exact_result_count(g.index.query(), g.index.database()))
+            Ok(self.groups[gi].index.exact_count())
         } else if let Some(bi) = self.find_boxed(handle.0) {
             Ok(self.boxed[bi].counter.count())
         } else {

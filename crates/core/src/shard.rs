@@ -712,6 +712,8 @@ impl State {
 /// Constructed directly from any engine builder, or through the factory as
 /// `Engine::Sharded { inner, shards }` in the `rsjoin` facade.
 pub struct ShardedSampler {
+    /// The query the routed stream addresses (the inner engines' input).
+    input_query: Query,
     output_query: Query,
     k: usize,
     merge_seed: u64,
@@ -827,6 +829,7 @@ impl ShardedSampler {
             });
         }
         Ok(ShardedSampler {
+            input_query: query.clone(),
             output_query: output_query.expect("shards >= 1"),
             k,
             merge_seed: child_seed(seed, shards as u64),
@@ -979,6 +982,10 @@ impl JoinSampler for ShardedSampler {
 
     fn output_query(&self) -> &Query {
         &self.output_query
+    }
+
+    fn input_query(&self) -> &Query {
+        &self.input_query
     }
 
     fn process(&mut self, rel: usize, tuple: &[Value]) {

@@ -39,7 +39,15 @@
 //! lives in per-configuration
 //! [`PostingArena`](rsj_common::PostingArena)s, and propagation reuses
 //! pooled scratch buffers.
+//!
+//! # Exact counts
+//!
+//! Next to the rounded counts the index owns a resident exact-count view
+//! ([`crate::count`]): inserts and deletes append to its dirty log, and
+//! [`DynamicIndex::exact_count`] folds the log into per-edge `COUNT`
+//! messages instead of recounting the whole join.
 
+use crate::count::{CountStats, CountView};
 use crate::state::{ItemId, NodeState};
 use rsj_common::codec::{CodecError, Decoder, Encoder};
 use rsj_common::pow2::level_of;
@@ -200,6 +208,8 @@ pub struct DynamicIndex {
     pools: Pools,
     options: IndexOptions,
     stats: IndexStats,
+    /// Resident exact `|Q(R)|`, rooted at the center of the index's tree.
+    view: CountView,
 }
 
 /// Errors from index construction.
@@ -295,6 +305,8 @@ impl DynamicIndex {
                 .collect();
             trees.push(TreeView { cfg });
         }
+        let center = crate::CountPlan::center(jt);
+        let view = CountView::new(&rooted[center], trees[center].cfg.clone());
         let mut rel_cfgs: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (c, info) in infos.iter().enumerate() {
             rel_cfgs[info.relation].push(c as u32);
@@ -381,6 +393,7 @@ impl DynamicIndex {
             pools: Pools::default(),
             options,
             stats: IndexStats::default(),
+            view,
         })
     }
 
@@ -402,6 +415,21 @@ impl DynamicIndex {
     /// Construction options.
     pub fn options(&self) -> IndexOptions {
         self.options
+    }
+
+    /// Exact `|Q(R)|` over the live tuples, from the resident count view:
+    /// folds the updates logged since the last count (cost proportional to
+    /// the tuples they touch, not to `N`), or runs one full message pass
+    /// when there is no valid view yet — the first count, or the first
+    /// after the log grew too costly to fold. See [`crate::count`].
+    pub fn exact_count(&self) -> u128 {
+        self.view.count(&self.configs, &self.infos, &self.db)
+    }
+
+    /// Work counters of the exact-count view (separate from
+    /// [`stats`](DynamicIndex::stats), which counting never changes).
+    pub fn count_stats(&self) -> CountStats {
+        self.view.stats()
     }
 
     /// Serializes the dynamic portion of the index — tuple storage, every
@@ -477,6 +505,7 @@ impl DynamicIndex {
         self.db = db;
         self.configs = configs;
         self.stats = stats;
+        self.view.invalidate();
         Ok(())
     }
 
@@ -526,6 +555,7 @@ impl DynamicIndex {
         }
         self.stats.propagation_loops += pl;
         self.stats.tilde_changes += tc;
+        self.view.record(rel, tid, true, self.db.total_tuples());
         Some(tid)
     }
 
@@ -590,6 +620,7 @@ impl DynamicIndex {
         }
         self.stats.propagation_loops += pl;
         self.stats.tilde_changes += tc;
+        self.view.record(rel, tid, false, self.db.total_tuples());
         Some(tid)
     }
 
@@ -601,6 +632,7 @@ impl DynamicIndex {
         self.db.heap_size()
             + self.configs.iter().map(HeapSize::heap_size).sum::<usize>()
             + self.configs.capacity() * std::mem::size_of::<NodeState>()
+            + self.view.heap_size()
     }
 }
 

@@ -27,12 +27,18 @@
 //! its join attributes `ē` buckets *group tuples* (distinct `ē`-projections,
 //! with multiplicity `feq`) instead of base tuples, shrinking propagation
 //! fan-out.
+//!
+//! Exact `|Q(R)|` — what turnstile repair and service publish points
+//! recalibrate against — is a resident view next to the index ([`count`]),
+//! folded from a signed dirty log instead of recounted per call.
 
+pub mod count;
 pub mod dynamic;
 pub mod retrieve;
 pub mod sampler;
 pub mod state;
 
+pub use count::{CountPlan, CountStats};
 pub use dynamic::{DynamicIndex, IndexOptions, IndexStats};
 pub use retrieve::{materialize, materialize_into, DeltaBatch, JoinResult, ProbeBatch};
 pub use sampler::FullSampler;

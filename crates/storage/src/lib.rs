@@ -43,6 +43,6 @@ pub use columnar::{ColumnarBatch, RelationColumns};
 pub use input::{InputTuple, OpStream, StreamOp, TupleStream};
 pub use relation::{Database, Relation};
 pub use semijoin::SemijoinIndex;
-pub use shared::{SharedStore, SharedStoreError};
+pub use shared::{check_op, SharedStore, SharedStoreError};
 pub use stats::{ColumnStats, RelationStats, TableStatistics};
 pub use wal::{Checkpoint, Wal, WalError, FORMAT_VERSION};

@@ -59,6 +59,25 @@ impl std::fmt::Display for SharedStoreError {
 
 impl std::error::Error for SharedStoreError {}
 
+/// Checks `op`'s relation id and tuple width against a relation universe
+/// whose arity per relation `arity_of` yields (`None` past its end). The
+/// store's own append and the durability wrappers' validation share it.
+pub fn check_op(
+    op: &StreamOp,
+    arity_of: impl FnOnce(usize) -> Option<usize>,
+) -> Result<(), SharedStoreError> {
+    let t = op.tuple();
+    let expected = arity_of(t.relation).ok_or(SharedStoreError::UnknownRelation(t.relation))?;
+    if t.values.len() != expected {
+        return Err(SharedStoreError::ArityMismatch {
+            relation: t.relation,
+            expected,
+            got: t.values.len(),
+        });
+    }
+    Ok(())
+}
+
 /// One retained copy of the op history plus per-relation registration
 /// reference counts. See the [module docs](self).
 #[derive(Clone, Debug)]
@@ -94,18 +113,7 @@ impl SharedStore {
     /// caller's op *becomes* the retained history entry, so a per-op
     /// producer pays one allocation (building the op), not two.
     pub fn append_owned(&mut self, op: StreamOp) -> Result<u64, SharedStoreError> {
-        let t = op.tuple();
-        let (_, arity) = self
-            .schema
-            .get(t.relation)
-            .ok_or(SharedStoreError::UnknownRelation(t.relation))?;
-        if t.values.len() != *arity {
-            return Err(SharedStoreError::ArityMismatch {
-                relation: t.relation,
-                expected: *arity,
-                got: t.values.len(),
-            });
-        }
+        check_op(&op, |r| self.schema.get(r).map(|(_, arity)| *arity))?;
         let lsn = self.history.len() as u64;
         self.history.push(op);
         Ok(lsn)

@@ -25,7 +25,7 @@
 //! yields the same sample digest as a run that never crashed. See
 //! ARCHITECTURE.md, "Durability".
 
-use rsj_core::{JoinSampler, RebuildFn, SamplerService, SamplerStats};
+use rsj_core::{validate_op, JoinSampler, RebuildFn, SamplerService, SamplerStats, ServiceError};
 use rsj_storage::wal::{Checkpoint, Sleeper, Wal, WalError, WalFs, WalOptions};
 use rsj_storage::StreamOp;
 use std::path::{Path, PathBuf};
@@ -78,6 +78,9 @@ pub enum PersistError {
     Wal(WalError),
     /// The engine rejected restored state or a replayed op.
     Engine(String),
+    /// The op was refused before it reached the log (see
+    /// [`rsj_core::validate_op`]); nothing was logged or applied.
+    Rejected(ServiceError),
 }
 
 impl std::fmt::Display for PersistError {
@@ -88,6 +91,7 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::Wal(e) => write!(f, "wal failure: {e}"),
             PersistError::Engine(m) => write!(f, "engine failure: {m}"),
+            PersistError::Rejected(e) => write!(f, "{e} (nothing logged)"),
         }
     }
 }
@@ -199,8 +203,12 @@ impl<S: JoinSampler> Persistent<S> {
         })
     }
 
-    /// Logs one op, applies it to the engine, and checkpoints when the
-    /// policy says so. The append is buffered — call
+    /// Validates one op against the engine's input schema, logs it,
+    /// applies it to the engine, and checkpoints when the policy says so.
+    /// An op the engine would reject — unknown relation, wrong arity, a
+    /// delete for an insert-only engine — fails with
+    /// [`PersistError::Rejected`] before anything is logged. The append
+    /// is buffered — call
     /// [`flush`](Persistent::flush) (or [`sync`](Persistent::sync)) to
     /// make it crash-durable; the recovery invariant covers the flushed
     /// prefix.
@@ -214,6 +222,8 @@ impl<S: JoinSampler> Persistent<S> {
     /// checkpoint heals the wrapper (its snapshot covers the unlogged
     /// ops). Any other WAL error is returned without applying the op.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<(), PersistError> {
+        let blocker = (!self.inner.supports_deletes()).then(|| self.inner.name());
+        validate_op(self.inner.input_query(), blocker, op).map_err(PersistError::Rejected)?;
         let mut just_degraded: Option<WalError> = None;
         if self.lost_since.is_some() {
             self.lost_ops += 1;
@@ -475,12 +485,11 @@ impl PersistentService {
     }
 
     /// Validates, logs, and applies one op, checkpointing when the policy
-    /// says so. Validation failures and WAL errors fail the call without
-    /// applying anything.
+    /// says so. Validation failures ([`PersistError::Rejected`], the same
+    /// error [`Persistent::process_op`] returns) and WAL errors fail the
+    /// call without applying anything.
     pub fn process_op(&mut self, op: &StreamOp) -> Result<u64, PersistError> {
-        self.inner
-            .validate_op(op)
-            .map_err(|e| PersistError::Engine(e.to_string()))?;
+        self.inner.validate_op(op).map_err(PersistError::Rejected)?;
         self.wal.append(op)?;
         let lsn = self
             .inner

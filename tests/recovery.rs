@@ -497,3 +497,179 @@ fn checkpoint_truncates_the_log() {
     .unwrap();
     assert_eq!(r.next_lsn(), 120, "lsn is global, surviving truncation");
 }
+
+/// Sum of the log's segment sizes on disk.
+fn wal_bytes(dir: &Path) -> u64 {
+    fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum()
+}
+
+/// A poison op — wrong arity, unknown relation — is refused before it
+/// reaches the log. Logging it first would panic the engine on apply and
+/// then on every later recovery replay; instead the call returns a typed
+/// error, the WAL bytes stay unchanged, and a reopen recovers the exact
+/// prefix. Every engine family is covered, including the rewriting ones
+/// whose input schema differs from their output query.
+#[test]
+fn poison_ops_are_rejected_before_logging() {
+    for (engine, query) in recovery_engines() {
+        let ops = turnstile_ops(&query, 60, 5, 17);
+        let scratch = Scratch::new("poison");
+        let mut p = Persistent::open(
+            build(&engine, &query),
+            scratch.path(),
+            CheckpointPolicy::Manual,
+        )
+        .unwrap();
+        for op in &ops {
+            p.process_op(op).unwrap();
+        }
+        p.flush().unwrap();
+        let bytes = wal_bytes(scratch.path());
+        let arity = query.relation(0).attrs.len();
+        let wide = StreamOp::insert(0, vec![1; arity + 1]);
+        let err = p
+            .process_op(&wide)
+            .expect_err("wrong arity must be refused");
+        assert!(
+            matches!(
+                err,
+                PersistError::Rejected(ServiceError::Store(SharedStoreError::ArityMismatch {
+                    relation: 0,
+                    expected,
+                    got
+                })) if expected == arity && got == arity + 1
+            ),
+            "{}: {err}",
+            engine.name()
+        );
+        let stray = StreamOp::delete(query.num_relations(), vec![1; arity]);
+        let err = p
+            .process_op(&stray)
+            .expect_err("unknown relation must be refused");
+        assert!(
+            matches!(
+                err,
+                PersistError::Rejected(ServiceError::Store(SharedStoreError::UnknownRelation(r)))
+                    if r == query.num_relations()
+            ),
+            "{}: {err}",
+            engine.name()
+        );
+        p.flush().unwrap();
+        assert_eq!(wal_bytes(scratch.path()), bytes, "{}", engine.name());
+        assert_eq!(p.next_lsn(), ops.len() as u64);
+        let digest_before = digest(&p.engine().samples());
+        drop(p);
+        let r = Persistent::open(
+            build(&engine, &query),
+            scratch.path(),
+            CheckpointPolicy::Manual,
+        )
+        .unwrap_or_else(|e| panic!("{}: reopen failed: {e}", engine.name()));
+        assert_eq!(r.next_lsn(), ops.len() as u64);
+        assert_eq!(
+            digest(&r.engine().samples()),
+            digest_before,
+            "{}",
+            engine.name()
+        );
+    }
+}
+
+/// A delete for an insert-only engine is refused before logging too: the
+/// engine would reject it on apply and on every later replay.
+#[test]
+fn deletes_for_insert_only_engines_are_rejected_before_logging() {
+    struct InsertOnly(Query);
+    impl JoinSampler for InsertOnly {
+        fn name(&self) -> &'static str {
+            "InsertOnly"
+        }
+        fn output_query(&self) -> &Query {
+            &self.0
+        }
+        fn process(&mut self, _rel: usize, _tuple: &[Value]) {}
+        fn samples(&self) -> Vec<Vec<Value>> {
+            Vec::new()
+        }
+        fn k(&self) -> usize {
+            1
+        }
+        fn supports_snapshot(&self) -> bool {
+            true
+        }
+        fn snapshot_state(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+        fn restore_state(&mut self, _bytes: &[u8]) -> Result<(), rsjoin::common::CodecError> {
+            Ok(())
+        }
+    }
+    let scratch = Scratch::new("insert-only");
+    let mut p = Persistent::open(
+        InsertOnly(line3()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+    )
+    .unwrap();
+    p.process_op(&StreamOp::insert(0, vec![1, 2])).unwrap();
+    let err = p
+        .process_op(&StreamOp::delete(0, vec![1, 2]))
+        .expect_err("insert-only engines cannot take deletes");
+    assert!(matches!(
+        err,
+        PersistError::Rejected(ServiceError::DeleteUnsupported("InsertOnly"))
+    ));
+    assert_eq!(p.next_lsn(), 1);
+    drop(p);
+    let r = Persistent::open(
+        InsertOnly(line3()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+    )
+    .expect("the refused delete never reached the log");
+    assert_eq!(r.next_lsn(), 1);
+}
+
+/// Both durability wrappers refuse a poison op through the one validator,
+/// with the same error, and neither logs it.
+#[test]
+fn both_wrappers_reject_a_poison_op_alike() {
+    let query = line3();
+    let wide = StreamOp::insert(1, vec![1; query.relation(1).attrs.len() + 1]);
+    let scratch = Scratch::new("poison-engine");
+    let mut p = Persistent::open(
+        build(&Engine::Reservoir, &query),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+    )
+    .unwrap();
+    let engine_err = p.process_op(&wide).expect_err("wrong arity");
+    assert_eq!(p.next_lsn(), 0);
+    let scratch = Scratch::new("poison-service");
+    let mut rebuild = |_: &str, _: usize| -> Option<Box<dyn JoinSampler + Send>> { None };
+    let mut ps = PersistentService::open(
+        SamplerService::new(query.clone()),
+        scratch.path(),
+        CheckpointPolicy::Manual,
+        &mut rebuild,
+    )
+    .unwrap();
+    ps.flush().unwrap();
+    let bytes = wal_bytes(scratch.path());
+    let service_err = ps.process_op(&wide).expect_err("wrong arity");
+    assert!(matches!(
+        service_err,
+        PersistError::Rejected(ServiceError::Store(SharedStoreError::ArityMismatch {
+            relation: 1,
+            ..
+        }))
+    ));
+    assert_eq!(engine_err.to_string(), service_err.to_string());
+    assert_eq!(ps.service().lsn(), 0);
+    ps.flush().unwrap();
+    assert_eq!(wal_bytes(scratch.path()), bytes);
+}
